@@ -130,6 +130,17 @@ func main() {
 // them concurrently (a manifest from a different -shards is refused).
 func serve(listen string, opts service.Options, shards, tickWorkers int, tick, deadline time.Duration,
 	ckptPath string, ckptEvery int, bound chan<- string) int {
+	// Register for signals before anything else: a SIGTERM that lands
+	// while the checkpoint restores or the socket opens is buffered and
+	// drains the daemon as soon as it serves, instead of taking the
+	// default action and killing it with no checkpoint.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	// Unregister on every exit path so a leftover second-signal watcher
+	// from this serve can never fire on a later process signal (the
+	// in-process restart test runs serve twice).
+	defer signal.Stop(sigs)
+
 	svc := service.NewSharded(opts, shards, tickWorkers)
 	if ckptPath != "" {
 		if _, err := os.Stat(ckptPath); err == nil {
@@ -189,13 +200,6 @@ func serve(listen string, opts service.Options, shards, tickWorkers int, tick, d
 	handler.SetReady(true)
 	fmt.Fprintf(os.Stderr, "partitiond: listening on %s (tick %v, deadline %v, %d shards)\n",
 		ln.Addr(), tick, deadline, svc.NumShards())
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	// Unregister on every exit path so a leftover second-signal watcher
-	// from this serve can never fire on a later process signal (the
-	// in-process restart test runs serve twice).
-	defer signal.Stop(sigs)
 
 	select {
 	case err := <-serveErr:

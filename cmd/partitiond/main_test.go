@@ -201,6 +201,38 @@ func TestServeShardedDrainAndRestart(t *testing.T) {
 	}
 }
 
+// TestServeSignalAtStartup sends SIGTERM the instant the daemon
+// publishes its address, before it has served anything. The signal
+// handler is registered before the socket opens, so the daemon must
+// drain cleanly (exit 0, checkpoint written) rather than take the
+// default action and kill the process. Several rounds widen the window
+// the signal can land in.
+func TestServeSignalAtStartup(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		ckpt := filepath.Join(t.TempDir(), "pd.ckpt")
+		bound := make(chan string, 1)
+		exit := make(chan int, 1)
+		go func() {
+			exit <- serve("127.0.0.1:0", service.Options{}, 1, 0, 20*time.Millisecond, 0, ckpt, 0, bound)
+		}()
+		<-bound
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case code := <-exit:
+			if code != exitOK {
+				t.Fatalf("round %d: exit=%d, want %d", round, code, exitOK)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: daemon did not drain within 10s of a startup SIGTERM", round)
+		}
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Fatalf("round %d: startup drain wrote no checkpoint: %v", round, err)
+		}
+	}
+}
+
 // TestSelftestSharded pins the -shards selftest path: the sharded run
 // passes its own SLO and the built-in differential against the
 // unsharded service (exit 0); the kill/restart differential runs

@@ -517,25 +517,3 @@ func TestValidAssignment(t *testing.T) {
 		t.Error("bad sum accepted")
 	}
 }
-
-func BenchmarkModelEngineDecide(b *testing.B) {
-	e := NewModelEngine()
-	mon := fakeMon{ways: 64, threads: 8}
-	cur := []int{8, 8, 8, 8, 8, 8, 8, 8}
-	r := xrand.New(1)
-	// Warm the models.
-	for i := 0; i < 6; i++ {
-		cpis := make([]float64, 8)
-		for t := range cpis {
-			cpis[t] = 1 + r.Float64()*8
-		}
-		if got := e.Decide(ivWith(i, cpis, cur), mon, cur); got != nil {
-			cur = got
-		}
-	}
-	cpis := []float64{2, 3, 9, 4, 2.5, 3.5, 5, 2.2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Decide(ivWith(i, cpis, cur), mon, cur)
-	}
-}

@@ -30,7 +30,8 @@ func (e *CPIProportionalEngine) Name() string { return "cpi-proportional" }
 
 // Decide implements Engine.
 func (e *CPIProportionalEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, _ []int) []int {
-	weights := make([]float64, len(iv.Threads))
+	var buf [stackThreads]float64
+	weights := scratch(buf[:], len(iv.Threads))
 	for t, ts := range iv.Threads {
 		weights[t] = ts.CPI()
 	}

@@ -65,14 +65,14 @@ func proportionalShares(weights []float64, ways, minWays int) []int {
 			total += w
 		}
 	}
-	out := make([]int, n)
 	if total == 0 {
-		copy(out, equalSplit(ways, n))
-		return out
+		return equalSplit(ways, n)
 	}
 	// Distribute the ways above the per-thread floor proportionally.
+	out := make([]int, n)
 	spare := ways - minWays*n
-	fracs := make([]float64, n)
+	var fracBuf [stackThreads]float64
+	fracs := scratch(fracBuf[:], n)
 	assigned := 0
 	for i, w := range weights {
 		if w < 0 {

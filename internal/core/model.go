@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"intracache/internal/sim"
 	"intracache/internal/spline"
@@ -15,10 +15,24 @@ import (
 // thread performance modeling", Sec. VI-B, Fig. 15). Each point is
 // stamped with the interval that produced it so stale points — taken
 // before a program phase change — can be pruned.
+//
+// The points are kept as a slice in ascending way order, so a fit
+// reads them in place. The fit itself is cached and rebuilt only after
+// the points change.
 type CPIModel struct {
-	points map[int]float64
-	stamp  map[int]int
-	blend  float64 // weight of the newest observation when revisiting
+	pts   []modelPoint // ascending ways, one entry per way count
+	blend float64      // weight of the newest observation when revisiting
+
+	fit     spline.Interpolator // cached Fit result; nil when stale
+	fitKind spline.Kind         // kind the cached fit was built with
+}
+
+// modelPoint is one observed way count: its blended CPI and the
+// interval that last observed it.
+type modelPoint struct {
+	ways  int
+	cpi   float64
+	stamp int
 }
 
 // NewCPIModel returns an empty model. blend in (0,1] controls how fast
@@ -30,7 +44,22 @@ func NewCPIModel(blend float64) *CPIModel {
 	if blend <= 0 || blend > 1 {
 		blend = 0.6
 	}
-	return &CPIModel{points: make(map[int]float64), stamp: make(map[int]int), blend: blend}
+	return &CPIModel{blend: blend}
+}
+
+// find returns the index of the point at ways, or where it would be
+// inserted, and whether it exists.
+func (m *CPIModel) find(ways int) (int, bool) {
+	lo, hi := 0, len(m.pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.pts[mid].ways < ways {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.pts) && m.pts[lo].ways == ways
 }
 
 // Observe records that running with `ways` ways during `interval`
@@ -41,22 +70,25 @@ func (m *CPIModel) Observe(ways int, cpi float64, interval int) {
 	if cpi <= 0 || ways < 0 || math.IsNaN(cpi) || math.IsInf(cpi, 0) {
 		return
 	}
-	if old, ok := m.points[ways]; ok {
-		m.points[ways] = m.blend*cpi + (1-m.blend)*old
-	} else {
-		m.points[ways] = cpi
+	m.fit = nil
+	i, ok := m.find(ways)
+	if ok {
+		p := &m.pts[i]
+		p.cpi = m.blend*cpi + (1-m.blend)*p.cpi
+		p.stamp = interval
+		return
 	}
-	m.stamp[ways] = interval
+	m.pts = append(m.pts, modelPoint{})
+	copy(m.pts[i+1:], m.pts[i:])
+	m.pts[i] = modelPoint{ways: ways, cpi: cpi, stamp: interval}
 }
 
 // ResetTo discards every point and seeds the model with one fresh
 // observation — the response to a detected phase change, where all
 // history describes behaviour that no longer exists.
 func (m *CPIModel) ResetTo(ways int, cpi float64, interval int) {
-	for w := range m.points {
-		delete(m.points, w)
-		delete(m.stamp, w)
-	}
+	m.pts = m.pts[:0]
+	m.fit = nil
 	m.Observe(ways, cpi, interval)
 }
 
@@ -66,67 +98,76 @@ func (m *CPIModel) ResetTo(ways int, cpi float64, interval int) {
 // each execution interval" under phase changes: measurements from a
 // previous phase stop informing the current one.
 func (m *CPIModel) Prune(oldest int) {
-	if len(m.points) <= 2 {
+	if len(m.pts) <= 2 {
 		return
 	}
-	type entry struct {
-		ways  int
-		stamp int
+	// The two freshest points — stamp descending, ties to the smaller
+	// way count — survive whatever their age.
+	fresher := func(a, b modelPoint) bool {
+		return a.stamp > b.stamp || (a.stamp == b.stamp && a.ways < b.ways)
 	}
-	entries := make([]entry, 0, len(m.points))
-	for w, s := range m.stamp {
-		entries = append(entries, entry{w, s})
+	k0, k1 := -1, -1
+	for i, p := range m.pts {
+		switch {
+		case k0 < 0 || fresher(p, m.pts[k0]):
+			k0, k1 = i, k0
+		case k1 < 0 || fresher(p, m.pts[k1]):
+			k1 = i
+		}
 	}
-	// Freshest first; ties by way count for determinism.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].stamp != entries[j].stamp {
-			return entries[i].stamp > entries[j].stamp
+	out := m.pts[:0]
+	for i, p := range m.pts {
+		if i == k0 || i == k1 || p.stamp >= oldest {
+			out = append(out, p)
 		}
-		return entries[i].ways < entries[j].ways
-	})
-	for i, e := range entries {
-		if i < 2 {
-			continue
-		}
-		if e.stamp < oldest {
-			delete(m.points, e.ways)
-			delete(m.stamp, e.ways)
-		}
+	}
+	if len(out) < len(m.pts) {
+		clear(m.pts[len(out):])
+		m.pts = out
+		m.fit = nil
 	}
 }
 
 // Len returns the number of distinct way counts observed.
-func (m *CPIModel) Len() int { return len(m.points) }
+func (m *CPIModel) Len() int { return len(m.pts) }
 
-// Points returns the data points sorted by way count.
+// Points returns copies of the data points sorted by way count.
 func (m *CPIModel) Points() (ways []int, cpis []float64) {
-	ways = make([]int, 0, len(m.points))
-	for w := range m.points {
-		ways = append(ways, w)
-	}
-	sort.Ints(ways)
-	cpis = make([]float64, len(ways))
-	for i, w := range ways {
-		cpis[i] = m.points[w]
+	ways = make([]int, len(m.pts))
+	cpis = make([]float64, len(m.pts))
+	for i, p := range m.pts {
+		ways[i], cpis[i] = p.ways, p.cpi
 	}
 	return ways, cpis
 }
 
 // Fit returns an interpolator over the model's points using the given
-// spline kind, or nil if the model is empty.
+// spline kind, or nil if the model is empty. The result is cached until
+// the points change (an accepted Observe, ResetTo, a Prune that drops
+// a point, or a restore), so repeated calls between observations cost
+// nothing. The returned interpolator is shared: callers must treat it,
+// and the slice its Knots method returns, as read-only.
 func (m *CPIModel) Fit(kind spline.Kind) spline.Interpolator {
-	if len(m.points) == 0 {
+	if len(m.pts) == 0 {
 		return nil
 	}
-	ways, cpis := m.Points()
-	xs := make([]float64, len(ways))
-	for i, w := range ways {
-		xs[i] = float64(w)
+	if m.fit != nil && m.fitKind == kind {
+		return m.fit
 	}
-	in, err := spline.Fit(kind, xs, cpis)
+	// The points are already sorted and unique, so spline.Fit takes its
+	// fast path and copies what it keeps; xs and ys are scratch.
+	var xb, yb [32]float64
+	xs, ys := scratch(xb[:], len(m.pts)), scratch(yb[:], len(m.pts))
+	for i, p := range m.pts {
+		xs[i], ys[i] = float64(p.ways), p.cpi
+	}
+	in, err := spline.Fit(kind, xs, ys)
 	if err != nil {
-		return nil // unreachable with non-empty points; defensive
+		// Unreachable: Observe and RestoreModelState admit only finite
+		// points. Defensive; newPredictor falls back on nil.
+		return nil
 	}
+	m.fit, m.fitKind = in, kind
 	return in
 }
 
@@ -146,23 +187,24 @@ type predictor struct {
 }
 
 // newPredictor builds a predictor from a model; fallback is used when
-// the model is empty.
+// the model is empty or cannot be fitted.
 func newPredictor(m *CPIModel, kind spline.Kind, fallback float64) predictor {
-	ways, cpis := m.Points()
-	if len(ways) == 0 {
+	fit := m.Fit(kind)
+	if fit == nil {
 		return predictor{fallback: fallback, singlePoint: true}
 	}
-	p := predictor{fit: m.Fit(kind)}
-	p.loX, p.hiX = float64(ways[0]), float64(ways[len(ways)-1])
-	p.loY, p.hiY = cpis[0], cpis[len(cpis)-1]
-	if len(ways) == 1 {
+	pts := m.pts
+	n := len(pts)
+	p := predictor{fit: fit}
+	p.loX, p.hiX = float64(pts[0].ways), float64(pts[n-1].ways)
+	p.loY, p.hiY = pts[0].cpi, pts[n-1].cpi
+	if n == 1 {
 		p.singlePoint = true
-		p.fallback = cpis[0]
+		p.fallback = pts[0].cpi
 		return p
 	}
-	p.loSlope = (cpis[1] - cpis[0]) / (float64(ways[1]) - float64(ways[0]))
-	n := len(ways)
-	p.hiSlope = (cpis[n-1] - cpis[n-2]) / (float64(ways[n-1]) - float64(ways[n-2]))
+	p.loSlope = (pts[1].cpi - pts[0].cpi) / (float64(pts[1].ways) - float64(pts[0].ways))
+	p.hiSlope = (pts[n-1].cpi - pts[n-2].cpi) / (float64(pts[n-1].ways) - float64(pts[n-2].ways))
 	return p
 }
 
@@ -298,7 +340,8 @@ func (e *ModelEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []i
 			}
 		}
 		if e.detector != nil {
-			obs := make([]float64, len(iv.Threads))
+			var obsBuf [stackThreads]float64
+			obs := scratch(obsBuf[:], len(iv.Threads))
 			for t, ts := range iv.Threads {
 				obs[t] = ts.CPI()
 			}
@@ -339,20 +382,33 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		minWays = totalWays / n
 	}
 
-	preds := make([]predictor, n)
+	// Per-decision scratch lives on the stack for the common small
+	// thread counts; nothing is retained between decisions.
+	var (
+		predBuf          [stackThreads]predictor
+		cpiBuf, obsBuf   [stackThreads]float64
+		prevBuf, nextBuf [stackThreads]float64
+		donatedBuf       [stackThreads]int
+	)
+	preds := scratch(predBuf[:], n)
+	cpi, obs := scratch(cpiBuf[:], n), scratch(obsBuf[:], n)
+	prev, next := scratch(prevBuf[:], n), scratch(nextBuf[:], n)
+	donated := scratch(donatedBuf[:], n)
 	for t := 0; t < n; t++ {
 		preds[t] = newPredictor(e.models[t], e.Kind, iv.Threads[t].CPI())
+		obs[t] = iv.Threads[t].CPI()
 	}
 
-	// Working assignment starts from what is currently installed.
-	ways := make([]int, n)
+	// Working assignment starts from what is currently installed. Only
+	// a decision that returns it copies it to the heap.
+	var waysBuf [stackThreads]int
+	ways := scratch(waysBuf[:], n)
 	if len(current) == n {
 		copy(ways, current)
 	} else {
 		copy(ways, equalSplit(totalWays, n))
 	}
 
-	cpi := make([]float64, n)
 	for t := 0; t < n; t++ {
 		cpi[t] = preds[t].eval(ways[t])
 	}
@@ -360,14 +416,8 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// Hysteresis: balanced threads stay balanced. Use both the model's
 	// view and this interval's observed CPIs, so a thread whose reality
 	// has diverged from a stale model still triggers repartitioning.
-	if e.MinSpread > 0 {
-		obs := make([]float64, n)
-		for t, ts := range iv.Threads {
-			obs[t] = ts.CPI()
-		}
-		if relSpread(cpi) <= e.MinSpread && relSpread(obs) <= e.MinSpread {
-			return nil
-		}
+	if e.MinSpread > 0 && relSpread(cpi) <= e.MinSpread && relSpread(obs) <= e.MinSpread {
+		return nil
 	}
 
 	// Iterate: move one way from the fastest thread to the critical
@@ -402,10 +452,9 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// donated[d] counts ways taken from thread d this decision; capping
 	// it bounds how wrong a single mispredicted donor can go before the
 	// next interval's observation corrects its model.
-	donated := make([]int, n)
 	const perDonorCap = 2
 	moved := 0
-	prev := sortedDesc(cpi)
+	sortDescInto(prev, cpi)
 	for iter := 0; iter < maxMove; iter++ {
 		maxT := argMaxF(cpi)
 		// Donor choice: the paper takes from the lowest-CPI thread, but
@@ -433,7 +482,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 			cost = oldMinCPI // losing a way never helps
 		}
 		cpi[maxT], cpi[minT] = gain, cost
-		next := sortedDesc(cpi)
+		sortDescInto(next, cpi)
 		if !lexLess(next, prev) {
 			// No predicted improvement of the critical path (flat or
 			// adverse models, or the donor becomes the bottleneck):
@@ -444,7 +493,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 			break
 		}
 		donated[minT]++
-		prev = next
+		prev, next = next, prev
 		moved++
 	}
 	// Exploration: when no move was accepted but the threads are
@@ -457,10 +506,6 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// helped; next interval's observation then extends the model and
 	// ordinary descent takes over.
 	if moved == 0 {
-		obs := make([]float64, n)
-		for t, ts := range iv.Threads {
-			obs[t] = ts.CPI()
-		}
 		// The threshold is double the descent hysteresis: exploration
 		// perturbs a converged state, so it needs stronger evidence of
 		// imbalance than ordinary model-driven moves do.
@@ -477,14 +522,29 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		// Defensive: never hand the simulator a broken assignment.
 		return equalSplit(totalWays, n)
 	}
-	return ways
+	return append([]int(nil), ways...)
 }
 
-// sortedDesc returns a copy of xs sorted descending.
-func sortedDesc(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
+// stackThreads is the thread count up to which a decision's scratch
+// arrays live on the stack; larger thread counts fall back to the heap.
+const stackThreads = 8
+
+// scratch returns buf[:n] when it fits, else a fresh zeroed slice. Pass
+// a slice of a fresh local array to keep per-decision work off the heap.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// sortDescInto copies xs into dst (of the same length) sorted
+// descending, NaNs last — the order sort.Reverse(sort.Float64Slice)
+// gives — without allocating.
+func sortDescInto(dst, xs []float64) {
+	copy(dst, xs)
+	slices.Sort(dst) // ascending, NaNs first
+	slices.Reverse(dst)
 }
 
 // lexLess reports whether a < b lexicographically with a small absolute

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -128,14 +130,41 @@ func TestLexLess(t *testing.T) {
 	}
 }
 
+// TestSortedDesc pins sortDescInto to the order the library sort gives
+// (sort.Reverse over Float64Slice: descending, NaNs last), including
+// ties and NaNs, and checks the input is left alone.
 func TestSortedDesc(t *testing.T) {
 	in := []float64{1, 3, 2}
-	got := sortedDesc(in)
+	got := make([]float64, 3)
+	sortDescInto(got, in)
 	if got[0] != 3 || got[1] != 2 || got[2] != 1 {
-		t.Errorf("sortedDesc = %v", got)
+		t.Errorf("sortDescInto = %v", got)
 	}
-	if in[0] != 1 {
-		t.Error("sortedDesc mutated input")
+	if in[0] != 1 || in[1] != 3 || in[2] != 2 {
+		t.Error("sortDescInto mutated input")
+	}
+	r := xrand.New(3)
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]float64, 1+r.Intn(9))
+		for i := range xs {
+			switch r.Intn(6) {
+			case 0:
+				xs[i] = math.NaN()
+			case 1:
+				xs[i] = 2 // ties
+			default:
+				xs[i] = r.Float64() * 5
+			}
+		}
+		want := append([]float64(nil), xs...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+		got := make([]float64, len(xs))
+		sortDescInto(got, xs)
+		for i := range want {
+			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("sortDescInto(%v) = %v, want %v", xs, got, want)
+			}
+		}
 	}
 }
 
@@ -307,5 +336,93 @@ func TestQuickModelEngineBoundedMovement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refModel is the map-backed CPI model the sorted point store replaced,
+// kept as the reference for the store's observable behaviour.
+type refModel struct {
+	points map[int]float64
+	stamp  map[int]int
+	blend  float64
+}
+
+func (m *refModel) observe(ways int, cpi float64, interval int) {
+	if cpi <= 0 || ways < 0 || math.IsNaN(cpi) || math.IsInf(cpi, 0) {
+		return
+	}
+	if old, ok := m.points[ways]; ok {
+		m.points[ways] = m.blend*cpi + (1-m.blend)*old
+	} else {
+		m.points[ways] = cpi
+	}
+	m.stamp[ways] = interval
+}
+
+func (m *refModel) prune(oldest int) {
+	if len(m.points) <= 2 {
+		return
+	}
+	type entry struct{ ways, stamp int }
+	var entries []entry
+	for w, s := range m.stamp {
+		entries = append(entries, entry{w, s})
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].stamp != entries[j].stamp {
+			return entries[i].stamp > entries[j].stamp
+		}
+		return entries[i].ways < entries[j].ways
+	})
+	for i, e := range entries {
+		if i >= 2 && e.stamp < oldest {
+			delete(m.points, e.ways)
+			delete(m.stamp, e.ways)
+		}
+	}
+}
+
+// TestCPIModelMatchesMapReference drives the sorted point store and the
+// map-backed reference through the same random Observe/Prune/ResetTo
+// sequence and requires identical points, CPIs (bit for bit) and stamps
+// after every step.
+func TestCPIModelMatchesMapReference(t *testing.T) {
+	r := xrand.New(9)
+	for trial := 0; trial < 200; trial++ {
+		m := NewCPIModel(0.6)
+		ref := &refModel{points: map[int]float64{}, stamp: map[int]int{}, blend: 0.6}
+		for step := 0; step < 60; step++ {
+			w := r.Intn(20) - 1
+			cpi := 0.5 + 8*r.Float64()
+			if r.Intn(10) == 0 {
+				cpi = -1 // rejected
+			}
+			switch op := r.Intn(10); {
+			case op < 6:
+				m.Observe(w, cpi, step)
+				ref.observe(w, cpi, step)
+			case op < 9:
+				oldest := step - r.Intn(12)
+				m.Prune(oldest)
+				ref.prune(oldest)
+			default:
+				m.ResetTo(w, cpi, step)
+				ref.points, ref.stamp = map[int]float64{}, map[int]int{}
+				ref.observe(w, cpi, step)
+			}
+			st := m.ModelState()
+			if len(st.Points) != len(ref.points) || len(st.Stamps) != len(ref.stamp) {
+				t.Fatalf("trial %d step %d: %v/%v, reference %v/%v", trial, step, st.Points, st.Stamps, ref.points, ref.stamp)
+			}
+			for w, c := range ref.points {
+				if math.Float64bits(st.Points[w]) != math.Float64bits(c) || st.Stamps[w] != ref.stamp[w] {
+					t.Fatalf("trial %d step %d: %v/%v, reference %v/%v", trial, step, st.Points, st.Stamps, ref.points, ref.stamp)
+				}
+			}
+			ways, _ := m.Points()
+			if !sort.IntsAreSorted(ways) {
+				t.Fatalf("points out of way order: %v", ways)
+			}
+		}
 	}
 }

@@ -178,7 +178,9 @@ func (e *ResilientEngine) ensure(n int) {
 func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []int) []int {
 	e.ensure(len(iv.Threads))
 
-	suspect, bad := e.assess(iv)
+	var suspectBuf [stackThreads]bool
+	suspect := scratch(suspectBuf[:], len(iv.Threads))
+	bad := e.assess(iv, suspect)
 	if !bad && e.health == HealthModel && e.suspectFits() {
 		bad = true
 	}
@@ -221,12 +223,14 @@ func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current
 	}
 }
 
-// assess validates one interval's samples. A sample is suspect when it
-// is empty or non-finite, exactly repeats the previous reading (a stuck
-// counter — real counters essentially never latch twice identically),
-// or jumps implausibly far from the thread's last trusted CPI.
-func (e *ResilientEngine) assess(iv sim.IntervalStats) (suspect []bool, bad bool) {
-	suspect = make([]bool, len(iv.Threads))
+// assess validates one interval's samples into suspect (one entry per
+// thread) and reports whether any was suspect. A sample is suspect when
+// it is empty or non-finite, exactly repeats the previous reading (a
+// stuck counter — real counters essentially never latch twice
+// identically), or jumps implausibly far from the thread's last trusted
+// CPI.
+func (e *ResilientEngine) assess(iv sim.IntervalStats, suspect []bool) (bad bool) {
+	clear(suspect)
 	jf := e.jumpFactor()
 	for t, ts := range iv.Threads {
 		cpi := ts.CPI()
@@ -245,7 +249,7 @@ func (e *ResilientEngine) assess(iv sim.IntervalStats) (suspect []bool, bad bool
 			e.rejected++
 		}
 	}
-	return suspect, bad
+	return bad
 }
 
 // sameCounters reports whether two samples carry identical counter
@@ -323,14 +327,15 @@ func (e *ResilientEngine) suspectFits() bool {
 }
 
 // suspectFit evaluates one model's interpolant at every integer way in
-// its observed range and reports whether the fit is unusable.
+// its observed range and reports whether the fit is unusable. The fit
+// is the model's cached one: nothing changes a model between the
+// previous decision's partition and this audit, so it is not refitted.
 func suspectFit(m *CPIModel, kind spline.Kind) bool {
 	fit := m.Fit(kind)
 	if fit == nil {
 		return false
 	}
-	ways, _ := m.Points()
-	lo, hi := ways[0], ways[len(ways)-1]
+	lo, hi := m.pts[0].ways, m.pts[len(m.pts)-1].ways
 	y := fit.Eval(float64(lo))
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return true

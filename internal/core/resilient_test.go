@@ -127,7 +127,8 @@ func TestResilientSuspectDetection(t *testing.T) {
 			{Instructions: 0, ActiveCycles: 100, WaysAssigned: 8},
 			{Instructions: 1000, ActiveCycles: 2000, WaysAssigned: 8},
 		}}
-		suspect, bad := re.assess(iv)
+		suspect := make([]bool, 2)
+		bad := re.assess(iv, suspect)
 		if !suspect[0] || suspect[1] || !bad {
 			t.Errorf("suspect = %v bad = %v", suspect, bad)
 		}
@@ -139,7 +140,8 @@ func TestResilientSuspectDetection(t *testing.T) {
 		re.Decide(iv, mon, current)
 		repeat := ivWith(1, []float64{2, 3}, current)
 		repeat.Threads[1].ActiveCycles++ // thread 1 moved, thread 0 stuck
-		suspect, _ := re.assess(repeat)
+		suspect := make([]bool, 2)
+		re.assess(repeat, suspect)
 		if !suspect[0] || suspect[1] {
 			t.Errorf("suspect = %v, want exact repeat flagged only", suspect)
 		}
@@ -149,7 +151,8 @@ func TestResilientSuspectDetection(t *testing.T) {
 		current := []int{8, 8}
 		re.Decide(ivWith(0, []float64{2, 3}, current), mon, current)
 		jump := ivWith(1, []float64{2 * 10, 3.1}, current) // 10x the trusted CPI
-		suspect, _ := re.assess(jump)
+		suspect := make([]bool, 2)
+		re.assess(jump, suspect)
 		if !suspect[0] || suspect[1] {
 			t.Errorf("suspect = %v, want only the jumping thread", suspect)
 		}

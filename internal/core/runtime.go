@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"intracache/internal/sim"
 )
@@ -43,7 +44,9 @@ func NewRuntimeSystem(engine Engine) (*RuntimeSystem, error) {
 // Engine returns the wrapped partition engine.
 func (r *RuntimeSystem) Engine() Engine { return r.engine }
 
-// Decisions returns the decision log.
+// Decisions returns the decision log, oldest first. The slice and the
+// entries' CPI and target slices belong to the runtime system: a bounded
+// log reuses them, so they are valid only until the next OnInterval.
 func (r *RuntimeSystem) Decisions() []Decision { return r.log }
 
 // InvalidAssignments returns how many engine outputs failed validation
@@ -62,7 +65,7 @@ func (r *RuntimeSystem) ControllerHealth() string {
 
 // OnInterval implements sim.Controller.
 func (r *RuntimeSystem) OnInterval(iv sim.IntervalStats, mon sim.Monitors) []int {
-	targets := r.engine.Decide(iv, mon, currentFrom(iv))
+	targets := r.decide(iv, mon)
 	if targets != nil {
 		if err := validAssignment(targets, mon.Ways(), mon.NumThreads()); err != nil {
 			// Degrade instead of crashing the run: an engine that emits a
@@ -72,29 +75,55 @@ func (r *RuntimeSystem) OnInterval(iv sim.IntervalStats, mon sim.Monitors) []int
 			targets = equalSplit(mon.Ways(), mon.NumThreads())
 		}
 	}
-	cpis := make([]float64, len(iv.Threads))
-	for t, ts := range iv.Threads {
-		cpis[t] = ts.CPI()
-	}
-	d := Decision{Interval: iv.Index, CPIs: cpis}
-	if targets != nil {
-		d.Targets = append([]int(nil), targets...)
-	}
-	r.log = append(r.log, d)
-	if r.MaxLog > 0 && len(r.log) > r.MaxLog {
-		r.log = r.log[len(r.log)-r.MaxLog:]
-	}
+	r.record(iv, targets)
 	return targets
 }
 
-// currentFrom recovers the assignment the interval ran under from the
-// per-thread WaysAssigned snapshots.
-func currentFrom(iv sim.IntervalStats) []int {
-	out := make([]int, len(iv.Threads))
+// decide asks the engine for the next assignment, passing the one the
+// interval ran under (recovered from the per-thread WaysAssigned
+// snapshots). The stock model-based engines are called through their
+// concrete types: they only read that assignment, so it stays on the
+// stack, where a call through the Engine interface must put it on the
+// heap every interval.
+func (r *RuntimeSystem) decide(iv sim.IntervalStats, mon sim.Monitors) []int {
+	var buf [stackThreads]int
+	current := scratch(buf[:], len(iv.Threads))
 	for t, ts := range iv.Threads {
-		out[t] = ts.WaysAssigned
+		current[t] = ts.WaysAssigned
 	}
-	return out
+	switch eng := r.engine.(type) {
+	case *ResilientEngine:
+		return eng.Decide(iv, mon, current)
+	case *ModelEngine:
+		return eng.Decide(iv, mon, current)
+	}
+	return r.engine.Decide(iv, mon, append([]int(nil), current...))
+}
+
+// record appends one decision to the log. A bounded log that is full
+// drops its oldest entries, shifting the rest down in place, and the new
+// entry reuses the dropped entry's buffers, so a steady-state decision
+// allocates nothing here.
+func (r *RuntimeSystem) record(iv sim.IntervalStats, targets []int) {
+	var d Decision
+	if r.MaxLog > 0 && len(r.log) >= r.MaxLog {
+		drop := len(r.log) - r.MaxLog + 1
+		d = r.log[0]
+		keep := copy(r.log, r.log[drop:])
+		clear(r.log[keep:])
+		r.log = r.log[:keep]
+	}
+	d.Interval = iv.Index
+	d.CPIs = slices.Grow(d.CPIs[:0], len(iv.Threads))[:len(iv.Threads)]
+	for t, ts := range iv.Threads {
+		d.CPIs[t] = ts.CPI()
+	}
+	if targets != nil {
+		d.Targets = append(d.Targets[:0], targets...)
+	} else {
+		d.Targets = nil
+	}
+	r.log = append(r.log, d)
 }
 
 // NewEngine constructs the partition engine for a dynamic policy.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"intracache/internal/sim"
 )
@@ -16,26 +18,40 @@ type CPIModelState struct {
 
 // ModelState captures the model's data points for checkpointing.
 func (m *CPIModel) ModelState() CPIModelState {
-	st := CPIModelState{Points: make(map[int]float64, len(m.points)), Stamps: make(map[int]int, len(m.stamp))}
-	for w, c := range m.points {
-		st.Points[w] = c
-	}
-	for w, s := range m.stamp {
-		st.Stamps[w] = s
+	st := CPIModelState{Points: make(map[int]float64, len(m.pts)), Stamps: make(map[int]int, len(m.pts))}
+	for _, p := range m.pts {
+		st.Points[p.ways] = p.cpi
+		st.Stamps[p.ways] = p.stamp
 	}
 	return st
 }
 
-// RestoreModelState overlays a snapshot onto the model.
-func (m *CPIModel) RestoreModelState(st CPIModelState) {
-	m.points = make(map[int]float64, len(st.Points))
-	m.stamp = make(map[int]int, len(st.Stamps))
+// RestoreModelState overlays a snapshot onto the model. A snapshot
+// that Observe could never have produced — a non-finite or
+// non-positive CPI, a negative way count, or a point without a stamp
+// (or a stamp without a point) — is refused and the model is left
+// untouched.
+func (m *CPIModel) RestoreModelState(st CPIModelState) error {
+	if len(st.Points) != len(st.Stamps) {
+		return fmt.Errorf("core: model state has %d points but %d stamps", len(st.Points), len(st.Stamps))
+	}
+	pts := make([]modelPoint, 0, len(st.Points))
 	for w, c := range st.Points {
-		m.points[w] = c
+		stamp, ok := st.Stamps[w]
+		switch {
+		case !ok:
+			return fmt.Errorf("core: model point at %d ways has no stamp", w)
+		case w < 0:
+			return fmt.Errorf("core: model point at negative way count %d", w)
+		case c <= 0 || math.IsNaN(c) || math.IsInf(c, 0):
+			return fmt.Errorf("core: model point at %d ways has invalid CPI %v", w, c)
+		}
+		pts = append(pts, modelPoint{ways: w, cpi: c, stamp: stamp})
 	}
-	for w, s := range st.Stamps {
-		m.stamp[w] = s
-	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].ways < pts[j].ways })
+	m.pts = pts
+	m.fit = nil
+	return nil
 }
 
 // PhaseDetectorState is the serializable form of a PhaseDetector.
@@ -89,7 +105,9 @@ func (e *ModelEngine) RestoreEngineState(st ModelEngineState) error {
 			return fmt.Errorf("core: restore has %d models, engine has %d", len(st.Models), len(e.models))
 		}
 		for i, ms := range st.Models {
-			e.models[i].RestoreModelState(ms)
+			if err := e.models[i].RestoreModelState(ms); err != nil {
+				return fmt.Errorf("model %d: %w", i, err)
+			}
 		}
 	}
 	if st.Detector != nil {

@@ -300,6 +300,14 @@ func (sess *session) bumpEpoch() {
 	sess.watch = make(chan struct{})
 }
 
+// dropQueued removes the k oldest queued samples, shifting the rest
+// down in place and clearing the vacated tail so it pins no sample.
+func (sess *session) dropQueued(k int) {
+	n := copy(sess.queue, sess.queue[k:])
+	clear(sess.queue[n:])
+	sess.queue = sess.queue[:n]
+}
+
 // allocChanged reports whether the session's current allocation or rung
 // differs from the given pre-decision snapshot.
 func (sess *session) allocChanged(oldRung string, oldAlloc []int) bool {
@@ -566,7 +574,7 @@ func (s *Service) Tick(budget time.Duration) []Decision {
 			// next tick process the survivors normally.
 			keep := s.opts.maxSamplesPerTick()
 			if drop := len(sess.queue) - keep; drop > 0 {
-				sess.queue = append([]Sample(nil), sess.queue[drop:]...)
+				sess.dropQueued(drop)
 				sess.droppedPressure += uint64(drop)
 				s.stats.DroppedPressure += uint64(drop)
 			}
@@ -611,23 +619,24 @@ func (s *Service) process(sess *session) Decision {
 		k = len(sess.queue)
 	}
 	oldRung := sess.lastRung
-	oldAlloc := append([]int(nil), sess.current...)
-	mon := monitors{ways: sess.ways, threads: sess.threads}
+	var oldBuf [8]int // on the stack for up to 8 threads
+	oldAlloc := append(oldBuf[:0], sess.current...)
 	for j := 0; j < k; j++ {
-		iv := sim.IntervalStats{Index: sess.interval,
-			Threads: append([]sim.ThreadIntervalStats(nil), sess.queue[j].Threads...)}
+		// Ingest stored a private copy of the sample, and the queue
+		// drops it below, so the engine reads it in place.
+		iv := sim.IntervalStats{Index: sess.interval, Threads: sess.queue[j].Threads}
 		// The service, not the producer, knows what allocation was in
 		// force: stamp it server-side so a confused (or malicious)
 		// producer cannot teach the model a false ways→CPI mapping.
 		for t := range iv.Threads {
 			iv.Threads[t].WaysAssigned = sess.current[t]
 		}
-		if targets := sess.rts.OnInterval(iv, mon); targets != nil {
+		if targets := sess.rts.OnInterval(iv, sess); targets != nil {
 			sess.current = append(sess.current[:0], targets...)
 		}
 		sess.interval++
 	}
-	sess.queue = append([]Sample(nil), sess.queue[k:]...)
+	sess.dropQueued(k)
 
 	rung := sess.eng.Health().String()
 	switch sess.eng.Health() {
@@ -788,18 +797,14 @@ func (s *Service) latencySeconds() []float64 {
 	return append([]float64(nil), s.lat.buf[:s.lat.n]...)
 }
 
-// monitors adapts a session's fixed shape to sim.Monitors. The service
-// has no UMON hardware behind it, so miss curves are absent; the
-// resilient engine's chain never requires them (UCP does, and UCP is
-// not in the chain).
-type monitors struct {
-	ways    int
-	threads int
-}
-
-func (m monitors) MissCurve(int) []uint64 { return nil }
-func (m monitors) Ways() int              { return m.ways }
-func (m monitors) NumThreads() int        { return m.threads }
+// A session is its own sim.Monitors: its fixed shape. The service has
+// no UMON hardware behind it, so miss curves are absent; the resilient
+// engine's chain never requires them (UCP does, and UCP is not in the
+// chain). Passing the session pointer as the interface costs nothing
+// per decision, where a boxed shape value would be a heap allocation.
+func (sess *session) MissCurve(int) []uint64 { return nil }
+func (sess *session) Ways() int              { return sess.ways }
+func (sess *session) NumThreads() int        { return sess.threads }
 
 // equalSplit mirrors cache.EqualSplit: ways divided evenly, remainder
 // to the lowest thread indices.

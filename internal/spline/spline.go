@@ -70,6 +70,11 @@ var errTooFew = errors.New("spline: need at least one data point")
 // averaging their y values; points need not be pre-sorted. With a
 // single distinct point the result is a constant function; with two,
 // all kinds degenerate to linear interpolation.
+//
+// Input already in strictly increasing x order (what a CPI model
+// holds) skips the sort and duplicate collapse. The result does not
+// alias xs or ys, and the fit retains only its knots and slopes: the
+// solve's working arrays live on the stack for small inputs.
 func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("spline: mismatched lengths %d vs %d", len(xs), len(ys))
@@ -77,6 +82,7 @@ func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 	if len(xs) == 0 {
 		return nil, errTooFew
 	}
+	sorted := true
 	for i := range xs {
 		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) {
 			return nil, fmt.Errorf("spline: non-finite x at index %d: %v", i, xs[i])
@@ -84,20 +90,59 @@ func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 		if math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
 			return nil, fmt.Errorf("spline: non-finite y at index %d: %v", i, ys[i])
 		}
+		if i > 0 && !(xs[i-1] < xs[i]) {
+			sorted = false
+		}
 	}
-	x, y := dedupSorted(xs, ys)
+	var x, y, m []float64
+	if sorted {
+		n := len(xs)
+		if n == 1 {
+			return constant(plusZero(ys[0])), nil
+		}
+		// One allocation for everything the fit keeps: x, y and, for
+		// the cubic kinds, the slopes.
+		size := 3 * n
+		if n == 2 || kind == Linear {
+			size = 2 * n
+		}
+		buf := make([]float64, size)
+		x, y, m = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		copy(x, xs)
+		for i, v := range ys {
+			y[i] = plusZero(v)
+		}
+	} else {
+		x, y = dedupSorted(xs, ys)
+	}
 	switch {
 	case len(x) == 1:
 		return constant(y[0]), nil
 	case len(x) == 2 || kind == Linear:
 		return &linear{x: x, y: y}, nil
-	case kind == NaturalCubic:
-		return fitNatural(x, y), nil
-	case kind == PCHIP:
-		return fitPCHIP(x, y), nil
+	case kind == NaturalCubic || kind == PCHIP:
+		if m == nil { // the general path has no slope buffer yet
+			m = make([]float64, len(x))
+		}
+		if kind == NaturalCubic {
+			fitNatural(x, y, m)
+		} else {
+			fitPCHIP(x, y, m)
+		}
+		return &cubic{x: x, y: y, m: m}, nil
 	default:
 		return nil, fmt.Errorf("spline: unknown kind %v", kind)
 	}
+}
+
+// plusZero returns v with a negative zero turned positive: the value
+// dedupSorted's averaging (0 + v, divided by one) yields for a lone
+// point, so the sorted fast path produces the same floats.
+func plusZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 // dedupSorted sorts the points by x and averages y across duplicate xs.
@@ -123,6 +168,10 @@ func dedupSorted(xs, ys []float64) ([]float64, []float64) {
 	}
 	return outX, outY
 }
+
+// stackKnots is the knot count up to which a fit's working arrays fit
+// in a fixed stack buffer; larger inputs fall back to the heap.
+const stackKnots = 32
 
 // constant is an Interpolator returning a fixed value everywhere.
 type constant float64
@@ -185,26 +234,32 @@ func (c *cubic) Eval(x float64) float64 {
 	return h00*c.y[i] + h10*h*c.m[i] + h01*c.y[i+1] + h11*h*c.m[i+1]
 }
 
-// fitNatural computes natural-cubic-spline endpoint slopes by solving
-// the standard tridiagonal system for the second derivatives and
-// converting to Hermite form.
-func fitNatural(x, y []float64) *cubic {
+// fitNatural computes natural-cubic-spline endpoint slopes into
+// slopes by solving the standard tridiagonal system for the second
+// derivatives and converting to Hermite form.
+func fitNatural(x, y, slopes []float64) {
 	n := len(x)
-	h := make([]float64, n-1)
+	// Working arrays: h (n-1), sigma (n) and, for the interior solve,
+	// a, b, cc, d (n-2 each). None of them outlives the call.
+	var stack [6 * stackKnots]float64
+	work := stack[:]
+	if need := 6 * n; need > len(work) {
+		work = make([]float64, need)
+	}
+	h := work[: n-1 : n-1]
+	work = work[n-1:]
 	for i := range h {
 		h[i] = x[i+1] - x[i]
 	}
 	// Solve for second derivatives sigma via the Thomas algorithm.
 	// Natural boundary: sigma[0] = sigma[n-1] = 0.
-	sigma := make([]float64, n)
+	sigma := work[:n:n]
+	work = work[n:]
 	if n > 2 {
 		// Subdiagonal a, diagonal b, superdiagonal c, rhs d for the
 		// interior unknowns sigma[1..n-2].
 		m := n - 2
-		a := make([]float64, m)
-		b := make([]float64, m)
-		cc := make([]float64, m)
-		d := make([]float64, m)
+		a, b, cc, d := work[:m:m], work[m:2*m:2*m], work[2*m:3*m:3*m], work[3*m:4*m:4*m]
 		for i := 0; i < m; i++ {
 			a[i] = h[i]
 			b[i] = 2 * (h[i] + h[i+1])
@@ -224,25 +279,26 @@ func fitNatural(x, y []float64) *cubic {
 		}
 	}
 	// Convert to endpoint slopes: m[i] = dy/dx at knot i.
-	slopes := make([]float64, n)
 	for i := 0; i < n-1; i++ {
 		slopes[i] = (y[i+1]-y[i])/h[i] - h[i]/6*(2*sigma[i]+sigma[i+1])
 	}
 	last := n - 2
 	slopes[n-1] = (y[n-1]-y[last])/h[last] + h[last]/6*(2*sigma[n-1]+sigma[last])
-	return &cubic{x: x, y: y, m: slopes}
 }
 
-// fitPCHIP computes Fritsch–Carlson monotone slopes.
-func fitPCHIP(x, y []float64) *cubic {
+// fitPCHIP computes Fritsch–Carlson monotone slopes into m.
+func fitPCHIP(x, y, m []float64) {
 	n := len(x)
-	h := make([]float64, n-1)
-	delta := make([]float64, n-1)
+	var stack [2 * stackKnots]float64
+	work := stack[:]
+	if need := 2 * (n - 1); need > len(work) {
+		work = make([]float64, need)
+	}
+	h, delta := work[:n-1:n-1], work[n-1:2*(n-1)]
 	for i := 0; i < n-1; i++ {
 		h[i] = x[i+1] - x[i]
 		delta[i] = (y[i+1] - y[i]) / h[i]
 	}
-	m := make([]float64, n)
 	// Interior slopes: weighted harmonic mean when the secants agree in
 	// sign, zero otherwise (local extremum).
 	for i := 1; i < n-1; i++ {
@@ -258,7 +314,6 @@ func fitPCHIP(x, y []float64) *cubic {
 	// preserve monotonicity and shape.
 	m[0] = edgeSlope(h[0], h[min(1, n-2)], delta[0], delta[min(1, n-2)])
 	m[n-1] = edgeSlope(h[n-2], h[max(0, n-3)], delta[n-2], delta[max(0, n-3)])
-	return &cubic{x: x, y: y, m: m}
 }
 
 // edgeSlope is the standard PCHIP endpoint slope formula with the

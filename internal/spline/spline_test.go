@@ -327,6 +327,126 @@ func TestQuickPCHIPBounded(t *testing.T) {
 	}
 }
 
+// TestSortedFastPathMatchesShuffled pins the sorted-input fast path to
+// the general path: for every kind, a fit over strictly increasing xs
+// returns bit-identical Eval output to a fit over the same points in a
+// shuffled order, which goes through the sort and duplicate collapse.
+// A negative-zero y must come out as the general path's positive zero.
+func TestSortedFastPathMatchesShuffled(t *testing.T) {
+	r := xrand.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40) // beyond the stack scratch size too
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		x := float64(r.Intn(3))
+		for i := range xs {
+			xs[i] = x
+			x += 1 + float64(r.Intn(4))
+			ys[i] = 0.5 + 10*r.Float64()
+		}
+		if r.Intn(4) == 0 {
+			ys[r.Intn(n)] = math.Copysign(0, -1)
+		}
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		if n > 1 && sortedPerm(perm) {
+			perm[0], perm[1] = perm[1], perm[0]
+		}
+		sx := make([]float64, n)
+		sy := make([]float64, n)
+		for i, p := range perm {
+			sx[i], sy[i] = xs[p], ys[p]
+		}
+		for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+			fast, err := Fit(kind, xs, ys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := Fit(kind, sx, sy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := xs[0] - 2; q <= xs[n-1]+2; q += 0.25 {
+				a, b := fast.Eval(q), slow.Eval(q)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%v n=%d: Eval(%v) sorted=%v shuffled=%v", kind, n, q, a, b)
+				}
+			}
+		}
+	}
+	// Duplicates still average, whichever order they arrive in.
+	for _, xs := range [][]float64{{1, 2, 2, 3}, {2, 3, 2, 1}} {
+		ys := []float64{1, 4, 8, 2}
+		if xs[0] == 2 {
+			ys = []float64{4, 2, 8, 1}
+		}
+		in, err := Fit(NaturalCubic, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Eval(2); got != 6 {
+			t.Errorf("Fit(%v, %v).Eval(2) = %v, want the duplicate average 6", xs, ys, got)
+		}
+		if got := len(in.Knots()); got != 3 {
+			t.Errorf("Fit(%v): %d knots, want 3", xs, got)
+		}
+	}
+}
+
+// TestFitDoesNotAliasInput checks the fast path copies what it keeps:
+// a caller reusing its slices after Fit must not change the fit.
+func TestFitDoesNotAliasInput(t *testing.T) {
+	xs := []float64{1, 2, 4, 8}
+	ys := []float64{9, 6, 4, 3}
+	in, err := Fit(NaturalCubic, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := in.Eval(3)
+	for i := range xs {
+		xs[i], ys[i] = 0, 0
+	}
+	if got := in.Eval(3); got != before || in.Knots()[0] != 1 {
+		t.Errorf("fit changed with its input: Eval(3) %v -> %v, knots %v", before, got, in.Knots())
+	}
+}
+
+func sortedPerm(p []int) bool {
+	for i, v := range p {
+		if v != i {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkFitSorted fits the svc-decide model shape (17 knots, one per
+// way count 0..16) from sorted input, the form a CPI model supplies.
+func BenchmarkFitSorted(b *testing.B) {
+	xs := make([]float64, 17)
+	ys := make([]float64, 17)
+	for i := range xs {
+		xs[i] = float64(i)
+		ys[i] = 2 + 8/(1+float64(i))
+	}
+	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(kind, xs, ys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFitNaturalCubic(b *testing.B) {
 	xs := []float64{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
 	ys := []float64{12, 9, 6.5, 5, 4.7, 4.4, 4.2, 4.1, 4.07, 4.05}
